@@ -32,7 +32,6 @@ const SESSIONS: usize = 4;
 
 struct Cell {
     loss: f64,
-    seed: u64,
     legit_accepted: usize,
     legit_total: usize,
     attacks_accepted: usize,
@@ -147,7 +146,6 @@ fn main() {
         for &seed in &SEEDS {
             let mut cell = Cell {
                 loss,
-                seed,
                 legit_accepted: 0,
                 legit_total: 0,
                 attacks_accepted: 0,

@@ -119,8 +119,8 @@ fn gate_enabled(key: &str) -> bool {
 
 /// Runs one serve region under the hang watchdog, returning the report,
 /// the at-submit sheds, and the region wall time.
-fn timed_region<'a>(
-    scenario: &'a FleetScenario,
+fn timed_region(
+    scenario: &FleetScenario,
     server: &ServerConfig,
     obs: ServeObs<'_>,
     timeout: Duration,

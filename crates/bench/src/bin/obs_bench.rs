@@ -12,9 +12,7 @@
 //!
 //! The acceptance budget is ~3% end-to-end overhead
 //! (`P2AUTH_OBS_BUDGET_PCT` overrides); the process exits non-zero when
-//! the budget is blown, so CI catches a telemetry regression. In a
-//! `--no-default-features` build everything compiles to no-ops and the
-//! measured deltas must sit at noise level.
+//! the budget is blown, so CI catches a telemetry regression.
 //!
 //! Writes `BENCH_obs.json` in the current directory.
 //!
@@ -68,8 +66,7 @@ fn prim_ns<F: FnMut()>(mut f: F) -> f64 {
 }
 
 fn main() {
-    let enabled = p2auth_obs::is_enabled();
-    println!("# obs_bench — telemetry overhead (obs feature enabled: {enabled})");
+    println!("# obs_bench — telemetry overhead");
 
     let pop = Population::generate(&PopulationConfig {
         num_users: 4,
@@ -159,7 +156,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"obs\",\n  \"obs_enabled\": {enabled},\n  \
+        "{{\n  \"bench\": \"obs\",\n  \
          \"auth_ns_instrumented\": {per_auth_on},\n  \
          \"auth_ns_paused\": {per_auth_off},\n  \
          \"overhead_pct\": {overhead_pct:.4},\n  \

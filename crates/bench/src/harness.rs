@@ -251,8 +251,7 @@ pub fn evaluate_case(
 
 /// Runs the standard one-handed case (build dataset → enroll →
 /// evaluate legit / random-attack / emulating-attack pools) for every
-/// user of the population, in parallel when the `parallel` feature of
-/// [`p2auth_par`] is enabled.
+/// user of the population, in parallel across [`p2auth_par`] workers.
 ///
 /// Returns `(user, summary)` pairs in ascending user order regardless
 /// of scheduling, so callers can print rows deterministically. Users
@@ -357,13 +356,8 @@ pub fn print_row(cells: &[String]) {
 
 /// Prints the per-stage latency breakdown table from the observability
 /// span histograms accumulated so far (count, p50/p95/p99 and max per
-/// `<crate>.<stage>` span). Prints a note instead when the binary was
-/// built without the `obs` feature.
+/// `<crate>.<stage>` span).
 pub fn print_stage_latency_table() {
-    if !p2auth_obs::is_enabled() {
-        println!("(per-stage latency unavailable: built without the `obs` feature)");
-        return;
-    }
     let snap = p2auth_obs::metrics::snapshot();
     print_header(&["stage", "count", "p50", "p95", "p99", "max"]);
     for (name, h) in &snap.histograms {

@@ -103,7 +103,6 @@ COMMANDS:
               span tree, metrics report and flight-recorder tail
                 --loss P (0.02)  --fault-seed S (1)  --user N (0)
                 --pin DDDD (1628)  [--structure-only] [--json]
-                (requires the default `obs` feature)
     quality   Assess per-keystroke signal quality under an injected
               sensor fault and run one supervised session
                 --fault KIND (saturation: motion|saturation|detach|
@@ -394,13 +393,6 @@ pub fn fault(args: &ParsedArgs) -> Result<String, CliError> {
 /// span paths (the golden-file format); `--json` emits the machine
 /// report (schema `p2auth.obs.v1`).
 pub fn trace(args: &ParsedArgs) -> Result<String, CliError> {
-    if !p2auth_obs::is_enabled() {
-        return Ok(
-            "observability is compiled out (built with --no-default-features); \
-             rebuild with the default `obs` feature to trace"
-                .to_string(),
-        );
-    }
     let (pop, session) = population(args)?;
     let pin = pin_arg(args)?;
     let user = args.get_parsed("user", 0_usize)?;

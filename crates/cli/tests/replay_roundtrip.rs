@@ -79,7 +79,7 @@ fn truncated_log_is_a_typed_error_not_a_partial_replay() {
     while !text.is_char_boundary(prefix.len()) {
         prefix = &prefix[..prefix.len() - 1];
     }
-    assert!(matches!(EventLog::decode(prefix), Err(_)));
+    assert!(EventLog::decode(prefix).is_err());
 }
 
 #[test]

@@ -3,7 +3,6 @@
 //! committed golden file. Timings and counter values vary run to run
 //! and RNG backend to RNG backend; the *set of span paths* — which
 //! stages ran, nested under what — must not drift silently.
-#![cfg(feature = "obs")]
 
 use p2auth_cli::args::ParsedArgs;
 use p2auth_cli::commands::dispatch;

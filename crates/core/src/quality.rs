@@ -240,7 +240,7 @@ pub(crate) fn segment_stats(seg: &MultiSeries, detrend_lambda: f64) -> SegmentSt
     }
 }
 
-fn median(xs: &mut Vec<f64>) -> f64 {
+fn median(xs: &mut [f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }

@@ -614,7 +614,7 @@ mod tests {
         for tf in device.packetize(&legit) {
             if matches!(tf.frame, Frame::Ppg { .. }) {
                 ppg_seen += 1;
-                if ppg_seen % 3 == 0 {
+                if ppg_seen.is_multiple_of(3) {
                     dropped += 1;
                     continue;
                 }

@@ -8,10 +8,11 @@
 //! +------+------+-------------+---------------+-----------+
 //! ```
 //!
-//! The CRC covers kind, length and payload. Numeric fields are
-//! big-endian; samples travel as `f32`.
+//! The CRC ([`p2auth_obs::persist::crc32`]) covers kind, length and
+//! payload. Numeric fields are big-endian; samples travel as `f32`.
 
 use p2auth_core::types::{ChannelInfo, Placement, Wavelength};
+use p2auth_obs::persist::crc32;
 use std::fmt;
 
 /// Frame sync byte.
@@ -447,19 +448,6 @@ fn placement_from(b: u8) -> Result<Placement, FrameError> {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected), computed bitwise — packets are small.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xffff_ffff_u32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -596,12 +584,6 @@ mod tests {
             Frame::decode(&bytes),
             Err(FrameError::BadPayload { .. })
         ));
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // CRC-32 of "123456789" is 0xCBF43926.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //! ("Link fault model & recovery").
 
 use crate::device::WearableDevice;
-use crate::frame::{crc32, Frame, FrameError, MAX_PAYLOAD};
+use crate::frame::{Frame, FrameError, MAX_PAYLOAD};
 use crate::host::{AssembleError, HostAssembler, LinkQuality};
 use crate::link::FaultyLink;
 use p2auth_core::types::Recording;
+use p2auth_obs::persist::{crc32, crc32_update};
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap};
 
@@ -229,8 +230,7 @@ impl std::fmt::Display for TransferStats {
     }
 }
 
-/// Incremental CRC-32 over a byte stream (same polynomial as
-/// [`crc32`]).
+/// Incremental CRC-32 over a byte stream ([`crc32_update`]).
 #[derive(Debug, Clone, Copy)]
 struct WireDigest {
     crc: u32,
@@ -247,13 +247,7 @@ impl WireDigest {
 
     fn update(&mut self, data: &[u8]) {
         self.bytes += data.len();
-        for &b in data {
-            self.crc ^= u32::from(b);
-            for _ in 0..8 {
-                let mask = (self.crc & 1).wrapping_neg();
-                self.crc = (self.crc >> 1) ^ (0xedb8_8320 & mask);
-            }
-        }
+        self.crc = crc32_update(self.crc, data);
     }
 
     fn finish(&self) -> u32 {

@@ -5,10 +5,6 @@
 //! [`p2auth_obs::recorder::CAPACITY`] structured events — at least 64 —
 //! spanning the link and decision stages, with the degradation reason
 //! attached to the final event.
-//!
-//! Compiles to nothing without the `obs` feature (the recorder is an
-//! inert no-op there, so there is nothing to assert).
-#![cfg(feature = "obs")]
 
 use p2auth_core::{HandMode, P2Auth, P2AuthConfig, Pin, Recording};
 use p2auth_device::clock::VirtualClock;

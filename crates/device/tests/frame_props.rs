@@ -2,8 +2,9 @@
 //! round-trip, arbitrary corruption is detected, arbitrary garbage
 //! never panics the decoder.
 
-use p2auth_device::frame::{crc32, resync_offset, Frame, FrameError};
+use p2auth_device::frame::{resync_offset, Frame, FrameError};
 use p2auth_device::{Link, LinkConfig};
+use p2auth_obs::persist::crc32;
 use p2auth_rng::prop::prelude::*;
 
 fn arb_samples() -> impl Strategy<Value = Vec<f32>> {

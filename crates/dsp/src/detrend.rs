@@ -54,7 +54,7 @@ pub fn trend(y: &[f64], lambda: f64) -> Vec<f64> {
     // smoothness prior is the least-squares straight line; switch to
     // it while the pivots are still provably positive. Typical PPG
     // values are λ ≤ 500 (λ² ≤ 2.5e5), far below the cutoff.
-    if !(l2 < 1e13) {
+    if takes_linear_limit(l2) {
         return linear_fit(y);
     }
     // Build the pentadiagonal matrix A = I + l2 * D2^T D2 in banded form.
@@ -104,6 +104,13 @@ pub fn detrend(y: &[f64], lambda: f64) -> Vec<f64> {
 /// Least-squares straight-line fit — the λ → ∞ limit of the
 /// smoothness-priors trend (the prior then forces the second
 /// difference to zero everywhere).
+/// Whether `trend` answers with the λ → ∞ limit for this λ². Anything
+/// not below the `1e13` cutoff does: +∞, and NaN too, so the banded
+/// solver only ever sees a finite λ² it can factor.
+fn takes_linear_limit(l2: f64) -> bool {
+    l2.partial_cmp(&1e13) != Some(std::cmp::Ordering::Less)
+}
+
 fn linear_fit(y: &[f64]) -> Vec<f64> {
     let n = y.len();
     if n < 2 {
@@ -269,6 +276,21 @@ mod tests {
                 assert!((a - b).abs() < 1e-9, "λ={lambda:e}: {a} vs {b}");
             }
         }
+    }
+
+    #[test]
+    fn nan_and_infinite_lambda_squared_take_the_linear_limit() {
+        assert!(takes_linear_limit(f64::NAN));
+        assert!(takes_linear_limit(f64::INFINITY));
+        assert!(takes_linear_limit(1e13));
+        assert!(!takes_linear_limit(9.99e12));
+        assert!(!takes_linear_limit(0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "lambda must be finite")]
+    fn nan_lambda_is_rejected_before_the_solver() {
+        let _ = trend(&[1.0, 2.0, 4.0, 8.0], f64::NAN);
     }
 
     #[test]

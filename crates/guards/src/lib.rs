@@ -23,11 +23,17 @@
 //!   the workspace (anything not `p2auth*`), in any dependency table,
 //!   and `Cargo.lock` has no `source =` line: everything builds from
 //!   this tree, offline.
+//! * **One build** — no manifest declares a `[features]` table, sets
+//!   `features`/`default-features` on a dependency or gates a target
+//!   on `required-features`, and no source outside this crate gates
+//!   code on `cfg(feature …)`: every build is the one tier-1 tests.
+//! * **One CRC** — `fn crc32` and its polynomial live only in
+//!   [`CRC32_HOME`].
 //!
 //! The manifest parser is a ~60-line line-oriented scanner, not a TOML
 //! implementation: it only needs section headers and dependency keys,
 //! and a parser bug fails toward *more* reported dependencies, which
-//! fails the guard loudly instead of silently passing. Both checks are
+//! fails the guard loudly instead of silently passing. Every check is
 //! exercised against known-bad fixtures in `tests/fixtures/`, so the
 //! guard itself is guarded against rotting into a tautology.
 
@@ -122,11 +128,8 @@ pub fn layer_rules() -> &'static [(&'static str, &'static [&'static str])] {
                 "p2auth-obs",
             ],
         ),
-        // The oracle harness may see dsp and (optionally) rocket.
-        (
-            "p2auth-verify",
-            &["p2auth-rng", "p2auth-dsp", "p2auth-rocket"],
-        ),
+        // The oracle harness sees only the kernels it checks.
+        ("p2auth-verify", &["p2auth-rng", "p2auth-dsp"]),
         // The serving layer sits above device (sessions) and sim (the
         // fleet's traffic generator), never above the CLI or bench.
         (
@@ -185,9 +188,10 @@ pub struct Manifest {
 }
 
 fn section_of(line: &str) -> Option<&str> {
-    let t = line.trim();
+    // A header may carry a trailing `# comment`.
+    let t = line.split('#').next().unwrap_or(line).trim();
     let inner = t.strip_prefix('[')?.strip_suffix(']')?;
-    Some(inner.trim_matches('['))
+    Some(inner.trim_matches(|c| c == '[' || c == ']'))
 }
 
 fn key_of(line: &str) -> Option<&str> {
@@ -237,11 +241,9 @@ pub fn parse_manifest(text: &str) -> Manifest {
             }
         }
         match section.as_str() {
-            "package" => {
-                if key_of(line) == Some("name") {
-                    if let Some((_, v)) = line.split_once('=') {
-                        name = v.trim().trim_matches('"').to_string();
-                    }
+            "package" if key_of(line) == Some("name") => {
+                if let Some((_, v)) = line.split_once('=') {
+                    name = v.trim().trim_matches('"').to_string();
                 }
             }
             "dependencies" => {
@@ -372,6 +374,85 @@ pub fn scan_source_for_io(text: &str) -> Vec<(usize, &'static str)> {
     hits
 }
 
+/// Cargo-feature machinery in one manifest, as `(line, what)` hits
+/// (1-indexed): a `[features]` table, a `features` or
+/// `default-features` key on any dependency (inline, dotted or in a
+/// `[dependencies.<name>]` table), or a `required-features` gate.
+#[must_use]
+pub fn scan_manifest_for_features(text: &str) -> Vec<(usize, String)> {
+    let mut hits = Vec::new();
+    let mut section = String::new();
+    for (i, line) in text.lines().enumerate() {
+        if let Some(s) = section_of(line) {
+            section = s.to_string();
+            if section == "features" {
+                hits.push((i + 1, "[features] table".to_string()));
+            }
+            continue;
+        }
+        let t = line.trim();
+        let Some((key, value)) = t.split_once('=').filter(|_| !t.starts_with('#')) else {
+            continue;
+        };
+        let key = key.trim().trim_matches('"');
+        let subkey = key.rsplit('.').next().unwrap_or(key);
+        let in_dep_table = is_dependency_table(&section);
+        let in_dep_header = section
+            .rsplit_once('.')
+            .is_some_and(|(table, _)| is_dependency_table(table));
+        let feature_key = matches!(subkey, "features" | "default-features");
+        if subkey == "required-features"
+            || (in_dep_table && (feature_key || value.contains("features")))
+            || (in_dep_header && feature_key)
+        {
+            hits.push((i + 1, format!("{key} in [{section}]")));
+        }
+    }
+    hits
+}
+
+/// Lines (1-indexed) of one source that gate code on a cargo feature:
+/// a `feature = "…"` predicate on a line naming `cfg`, so
+/// `cfg(feature …)`, `cfg!(feature …)` and predicates nested in
+/// `all`/`any`/`not` or `cfg_attr` all count.
+#[must_use]
+pub fn scan_source_for_feature_cfg(text: &str) -> Vec<usize> {
+    let names_feature_predicate = |line: &str| {
+        line.match_indices("feature").any(|(at, word)| {
+            let glued = line[..at]
+                .chars()
+                .next_back()
+                .is_some_and(|c| c.is_alphanumeric() || c == '_');
+            let rest = line[at + word.len()..].trim_start();
+            !glued && rest.starts_with('=') && !rest.starts_with("==")
+        })
+    };
+    text.lines()
+        .enumerate()
+        .filter(|(_, l)| l.contains("cfg") && names_feature_predicate(l))
+        .map(|(i, _)| i + 1)
+        .collect()
+}
+
+/// The one source file allowed to implement CRC-32, as a
+/// `crates/`-relative suffix.
+pub const CRC32_HOME: &str = "obs/src/persist.rs";
+
+/// Lines (1-indexed) of one source that implement a CRC-32: a
+/// `fn crc32(` definition or the reflected IEEE polynomial
+/// `0xEDB88320`, in any case and digit grouping.
+#[must_use]
+pub fn scan_source_for_crc32(text: &str) -> Vec<usize> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, l)| {
+            let l = l.to_ascii_lowercase().replace('_', "");
+            l.contains("fn crc32(") || l.contains("0xedb88320")
+        })
+        .map(|(i, _)| i + 1)
+        .collect()
+}
+
 /// Locates the workspace root: `$CARGO_MANIFEST_DIR/../..` under
 /// cargo, else the nearest ancestor of the current directory holding a
 /// `crates/` directory and a workspace `Cargo.toml` (so the guard also
@@ -411,6 +492,28 @@ pub fn workspace_manifests(root: &Path) -> Vec<(PathBuf, Manifest)> {
         }
     }
     out.sort_by(|a, b| a.0.cmp(&b.0));
+    out
+}
+
+/// Every workspace source the one-build and one-CRC checks scan: the
+/// facade's `src/`, `tests/` and `examples/` and every crate but
+/// `guards` (whose checks and fixtures name the patterns), sorted.
+#[must_use]
+pub fn workspace_sources(root: &Path) -> Vec<PathBuf> {
+    let mut out: Vec<PathBuf> = ["src", "tests", "examples"]
+        .iter()
+        .flat_map(|d| rust_sources(&root.join(d)))
+        .collect();
+    let crates = root.join("crates");
+    let entries =
+        std::fs::read_dir(&crates).unwrap_or_else(|e| panic!("read {}: {e}", crates.display()));
+    for entry in entries {
+        let dir = entry.expect("dir entry").path();
+        if !dir.ends_with("guards") {
+            out.extend(rust_sources(&dir));
+        }
+    }
+    out.sort();
     out
 }
 

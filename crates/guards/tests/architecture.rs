@@ -1,12 +1,13 @@
 //! The guard proper: every workspace manifest obeys the layer DAG,
 //! the DAG is acyclic, the pure layers are I/O-free, nothing outside
-//! the tree is a dependency — and the checks themselves still catch
-//! known-bad fixtures.
+//! the tree is a dependency, there is one build and one CRC — and the
+//! checks themselves still catch known-bad fixtures.
 
 use p2auth_guards::{
     check_layers, find_cycle, io_allowed, io_allowlist, layer_rules, lockfile_sourced_packages,
-    parse_manifest, rust_sources, scan_source_for_io, workspace_manifests, workspace_root,
-    IO_BANNED_CRATES,
+    parse_manifest, rust_sources, scan_manifest_for_features, scan_source_for_crc32,
+    scan_source_for_feature_cfg, scan_source_for_io, workspace_manifests, workspace_root,
+    workspace_sources, CRC32_HOME, IO_BANNED_CRATES,
 };
 
 #[test]
@@ -176,4 +177,77 @@ fn guard_catches_the_external_crate_fixtures() {
     assert!(check_layers(&bad, layer_rules()).is_empty());
     let sourced = lockfile_sourced_packages(include_str!("fixtures/registry.lock"));
     assert_eq!(sourced, ["rand"]);
+}
+
+#[test]
+fn one_build_and_one_crc() {
+    let root = workspace_root();
+    let mut violations = Vec::new();
+    let mut manifests: Vec<_> = workspace_manifests(&root)
+        .into_iter()
+        .map(|(path, _)| path)
+        .collect();
+    manifests.push(root.join("Cargo.toml"));
+    for path in &manifests {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        for (line, what) in scan_manifest_for_features(&text) {
+            violations.push(format!("{}:{line}: {what}", path.display()));
+        }
+    }
+    let sources = workspace_sources(&root);
+    assert!(sources.len() > 100, "only {} sources found", sources.len());
+    let mut crc_homes = 0;
+    for src in &sources {
+        let text =
+            std::fs::read_to_string(src).unwrap_or_else(|e| panic!("read {}: {e}", src.display()));
+        for line in scan_source_for_feature_cfg(&text) {
+            violations.push(format!("{}:{line}: cargo-feature cfg", src.display()));
+        }
+        let crc = scan_source_for_crc32(&text);
+        let home = src
+            .to_string_lossy()
+            .replace(std::path::MAIN_SEPARATOR, "/")
+            .ends_with(&format!("crates/{CRC32_HOME}"));
+        if home {
+            crc_homes += text.matches("pub fn crc32(").count();
+        } else {
+            for line in crc {
+                violations.push(format!(
+                    "{}:{line}: CRC-32 outside {CRC32_HOME}",
+                    src.display()
+                ));
+            }
+        }
+    }
+    assert_eq!(crc_homes, 1, "{CRC32_HOME} must define crc32 exactly once");
+    assert!(violations.is_empty(), "{}", violations.join("\n"));
+}
+
+/// 1-indexed lines of `text` carrying `marker`.
+fn marked(text: &str, marker: &str) -> Vec<usize> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, l)| l.contains(marker))
+        .map(|(i, _)| i + 1)
+        .collect()
+}
+
+#[test]
+fn guard_catches_the_one_build_fixtures() {
+    let toml = include_str!("fixtures/feature_manifest.toml");
+    let hits: Vec<usize> = scan_manifest_for_features(toml)
+        .into_iter()
+        .map(|(line, _)| line)
+        .collect();
+    assert_eq!(hits.len(), 6, "{hits:?}");
+    assert_eq!(hits, marked(toml, "# flagged"));
+
+    let src = include_str!("fixtures/feature_cfg.rs");
+    let cfgs = scan_source_for_feature_cfg(src);
+    assert_eq!(cfgs.len(), 4, "{cfgs:?}");
+    assert_eq!(cfgs, marked(src, "flagged: feature"));
+    let crcs = scan_source_for_crc32(src);
+    assert_eq!(crcs.len(), 2, "{crcs:?}");
+    assert_eq!(crcs, marked(src, "flagged: crc"));
 }

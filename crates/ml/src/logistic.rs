@@ -82,7 +82,7 @@ impl LogisticClassifier {
             rng.shuffle(&mut order);
             for &i in &order {
                 let yi = if y[i] > 0 { 1.0 } else { -1.0 };
-                let margin = yi * (dot(&w, &x[i]) + b);
+                let margin = yi * (dot(&w, x[i]) + b);
                 // dL/dmargin for logistic loss log(1 + e^{-m}).
                 let g = -yi / (1.0 + margin.exp());
                 for (wj, xj) in w.iter_mut().zip(x[i].iter()) {

@@ -29,18 +29,11 @@
 //! * **SLO tracking** ([`slo`]) — rolling-window latency / error-rate
 //!   windows with multi-window burn-rate error-budget alerts.
 //!
-//! Everything is gated on the `enabled` cargo feature (downstream
-//! crates re-expose it as `obs`, on by default). With the feature off,
-//! [`is_enabled`] is `const false`, every macro body is eliminated at
-//! compile time, and all primitives are inert zero-sized types — the
-//! instrumented code compiles to exactly what it was before
-//! instrumentation.
-//!
-//! At runtime, recording can also be paused with [`set_recording`]
-//! (used by `obs_bench` to measure the instrumented-vs-noop delta in a
-//! single binary). Counters and gauges are *not* gated on the runtime
-//! switch — they are single relaxed atomic ops — only spans and flight
-//! events, which are the measurable part, are.
+//! Recording can be paused at runtime with [`set_recording`] (used by
+//! `obs_bench` and `p2bench --trace` to measure the instrumented-vs-
+//! paused delta in a single binary). Counters and gauges are *not*
+//! gated on the runtime switch — they are single relaxed atomic ops —
+//! only spans and flight events, which are the measurable part, are.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,71 +55,37 @@ pub use recorder::{Event, Value};
 pub use slo::{SloConfig, SloReport, SloTracker};
 pub use span::{adopt, current_ctx, reset_ctx, AdoptGuard, Span, SpanCtx, SpanRecord};
 
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicBool, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::OnceLock;
-#[cfg(feature = "enabled")]
 use std::time::Instant;
 
-/// True when the crate was compiled with the `enabled` feature.
-///
-/// `const`, so `if is_enabled() { .. }` bodies are eliminated entirely
-/// in disabled builds.
-#[inline]
-#[must_use]
-pub const fn is_enabled() -> bool {
-    cfg!(feature = "enabled")
-}
-
-#[cfg(feature = "enabled")]
 static RECORDING: AtomicBool = AtomicBool::new(true);
 
 /// Pauses (`false`) or resumes (`true`) span timing and flight-recorder
-/// events at runtime. No-op in disabled builds.
+/// events at runtime.
 #[inline]
 pub fn set_recording(on: bool) {
-    #[cfg(feature = "enabled")]
     RECORDING.store(on, Ordering::Relaxed);
-    #[cfg(not(feature = "enabled"))]
-    let _ = on;
 }
 
 /// Whether spans and flight events are currently being recorded.
-///
-/// Always `false` in disabled builds.
 #[inline]
 #[must_use]
 pub fn recording() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        RECORDING.load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        false
-    }
+    RECORDING.load(Ordering::Relaxed)
 }
 
-#[cfg(feature = "enabled")]
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
 
 /// Nanoseconds elapsed since the process's observability epoch (the
-/// first call into this crate). Returns 0 in disabled builds.
+/// first call into this crate).
 #[inline]
 #[must_use]
 pub fn now_ns() -> u64 {
-    #[cfg(feature = "enabled")]
-    {
-        u64::try_from(epoch().elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        0
-    }
+    u64::try_from(epoch().elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Resets all recorded state: zeroes every registered metric, clears
@@ -157,18 +116,13 @@ macro_rules! span {
 }
 
 /// Returns the `&'static Counter` registered under `$name`, caching the
-/// registry lookup at the call site. Compiles to an inert no-op handle
-/// in disabled builds.
+/// registry lookup at the call site.
 #[macro_export]
 macro_rules! counter {
     ($name:expr) => {{
-        if $crate::is_enabled() {
-            static SITE: ::std::sync::OnceLock<&'static $crate::metrics::Counter> =
-                ::std::sync::OnceLock::new();
-            *SITE.get_or_init(|| $crate::metrics::counter_handle($name))
-        } else {
-            $crate::metrics::noop_counter()
-        }
+        static SITE: ::std::sync::OnceLock<&'static $crate::metrics::Counter> =
+            ::std::sync::OnceLock::new();
+        *SITE.get_or_init(|| $crate::metrics::counter_handle($name))
     }};
 }
 
@@ -177,13 +131,9 @@ macro_rules! counter {
 #[macro_export]
 macro_rules! gauge {
     ($name:expr) => {{
-        if $crate::is_enabled() {
-            static SITE: ::std::sync::OnceLock<&'static $crate::metrics::Gauge> =
-                ::std::sync::OnceLock::new();
-            *SITE.get_or_init(|| $crate::metrics::gauge_handle($name))
-        } else {
-            $crate::metrics::noop_gauge()
-        }
+        static SITE: ::std::sync::OnceLock<&'static $crate::metrics::Gauge> =
+            ::std::sync::OnceLock::new();
+        *SITE.get_or_init(|| $crate::metrics::gauge_handle($name))
     }};
 }
 
@@ -192,25 +142,20 @@ macro_rules! gauge {
 #[macro_export]
 macro_rules! histogram {
     ($name:expr) => {{
-        if $crate::is_enabled() {
-            static SITE: ::std::sync::OnceLock<&'static $crate::metrics::Histogram> =
-                ::std::sync::OnceLock::new();
-            *SITE.get_or_init(|| $crate::metrics::histogram_handle($name))
-        } else {
-            $crate::metrics::noop_histogram()
-        }
+        static SITE: ::std::sync::OnceLock<&'static $crate::metrics::Histogram> =
+            ::std::sync::OnceLock::new();
+        *SITE.get_or_init(|| $crate::metrics::histogram_handle($name))
     }};
 }
 
 /// Appends a structured event to the flight recorder:
 /// `event!("stage", "label", key = value, ...)`. Keys are identifiers;
 /// values are anything `recorder::Value: From` covers (integers,
-/// floats, bools, strings). Eliminated at compile time in disabled
-/// builds; skipped when recording is paused.
+/// floats, bools, strings). Skipped when recording is paused.
 #[macro_export]
 macro_rules! event {
     ($stage:expr, $label:expr $(, $key:ident = $value:expr)* $(,)?) => {
-        if $crate::is_enabled() && $crate::recording() {
+        if $crate::recording() {
             $crate::recorder::record(
                 $stage,
                 $label,
@@ -220,7 +165,7 @@ macro_rules! event {
     };
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use std::sync::Mutex;
 
@@ -234,7 +179,6 @@ mod tests {
     #[test]
     fn recording_toggle_round_trips() {
         let _g = lock();
-        assert!(super::is_enabled());
         assert!(super::recording());
         super::set_recording(false);
         assert!(!super::recording());

@@ -16,10 +16,6 @@
 //! dynamic names (`server.shard.07.latency_ns`) are fine: locals are
 //! dropped with the serve region, so there is no leaked-interning
 //! concern.
-//!
-//! Everything in this module is live in both feature modes — a local
-//! registry has no global state to guard, and the no-op build's fleet
-//! report still wants real per-outcome counts.
 
 use std::collections::BTreeMap;
 

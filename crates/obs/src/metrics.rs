@@ -4,15 +4,9 @@
 //! `device.link.frames_dropped`); span durations land in a histogram
 //! named after the span. Handles are `&'static` and lock-free on the
 //! hot path (one relaxed atomic op); only registration takes a mutex.
-//!
-//! With the `enabled` feature off every type here is an inert
-//! zero-sized struct and every method an empty `#[inline]` no-op.
 
-#[cfg(feature = "enabled")]
 use std::collections::BTreeMap;
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::Mutex;
 
 /// Number of histogram buckets: bucket 0 holds exact zeros, bucket `k`
@@ -22,14 +16,12 @@ pub const NUM_BUCKETS: usize = 65;
 /// A monotonically increasing event count.
 #[derive(Debug)]
 pub struct Counter {
-    #[cfg(feature = "enabled")]
     value: AtomicU64,
 }
 
 /// A last-written f64 value (stored as bits in an atomic).
 #[derive(Debug)]
 pub struct Gauge {
-    #[cfg(feature = "enabled")]
     bits: AtomicU64,
 }
 
@@ -37,19 +29,14 @@ pub struct Gauge {
 /// nanoseconds), with p50/p95/p99 extraction.
 #[derive(Debug)]
 pub struct Histogram {
-    #[cfg(feature = "enabled")]
     buckets: [AtomicU64; NUM_BUCKETS],
-    #[cfg(feature = "enabled")]
     count: AtomicU64,
-    #[cfg(feature = "enabled")]
     sum: AtomicU64,
-    #[cfg(feature = "enabled")]
     max: AtomicU64,
 }
 
 impl Counter {
-    #[cfg(feature = "enabled")]
-    fn new() -> Self {
+    const fn new() -> Self {
         Self {
             value: AtomicU64::new(0),
         }
@@ -58,10 +45,7 @@ impl Counter {
     /// Adds `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "enabled")]
         self.value.fetch_add(n, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
     }
 
     /// Adds one.
@@ -70,29 +54,20 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value (0 in disabled builds).
+    /// Current value.
     #[inline]
     #[must_use]
     pub fn get(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.value.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.value.load(Ordering::Relaxed)
     }
 
-    #[cfg(feature = "enabled")]
     fn reset(&self) {
         self.value.store(0, Ordering::Relaxed);
     }
 }
 
 impl Gauge {
-    #[cfg(feature = "enabled")]
-    fn new() -> Self {
+    const fn new() -> Self {
         Self {
             bits: AtomicU64::new(0.0_f64.to_bits()),
         }
@@ -101,36 +76,24 @@ impl Gauge {
     /// Stores a new value.
     #[inline]
     pub fn set(&self, v: f64) {
-        #[cfg(feature = "enabled")]
         self.bits.store(v.to_bits(), Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
     }
 
-    /// Last stored value (0.0 in disabled builds).
+    /// Last stored value.
     #[inline]
     #[must_use]
     pub fn get(&self) -> f64 {
-        #[cfg(feature = "enabled")]
-        {
-            f64::from_bits(self.bits.load(Ordering::Relaxed))
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0.0
-        }
+        f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 
-    #[cfg(feature = "enabled")]
     fn reset(&self) {
         self.set(0.0);
     }
 }
 
 /// Bucket index for a sample: 0 for 0, else `64 - leading_zeros`, so
-/// bucket `k` covers `[2^(k-1), 2^k)`. Ungated: the per-worker
-/// histograms in [`crate::local`] share the exact bucket layout in
-/// both feature modes.
+/// bucket `k` covers `[2^(k-1), 2^k)`. The per-worker histograms in
+/// [`crate::local`] share the exact bucket layout.
 #[inline]
 pub(crate) fn bucket_index(v: u64) -> usize {
     if v == 0 {
@@ -153,10 +116,9 @@ pub fn bucket_upper_edge(k: usize) -> u64 {
 }
 
 impl Histogram {
-    #[cfg(feature = "enabled")]
-    fn new() -> Self {
+    const fn new() -> Self {
         Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            buckets: [const { AtomicU64::new(0) }; NUM_BUCKETS],
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
@@ -166,57 +128,31 @@ impl Histogram {
     /// Records one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        #[cfg(feature = "enabled")]
-        {
-            self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
-            self.max.fetch_max(v, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
+        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Number of recorded samples.
     #[inline]
     #[must_use]
     pub fn count(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.count.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of all samples (wrapping in the absurd-overflow case).
     #[inline]
     #[must_use]
     pub fn sum(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.sum.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.sum.load(Ordering::Relaxed)
     }
 
     /// Largest recorded sample (exact, not bucketed).
     #[inline]
     #[must_use]
     pub fn max(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.max.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.max.load(Ordering::Relaxed)
     }
 
     /// The `q`-quantile (`0.0..=1.0`) as the upper edge of the bucket
@@ -229,54 +165,40 @@ impl Histogram {
     /// min, which a NaN-to-zero cast would silently give).
     #[must_use]
     pub fn quantile(&self, q: f64) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            let n = self.count();
-            if n == 0 {
-                return 0;
-            }
-            #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-            let rank = if q.is_nan() {
-                n
-            } else {
-                ((q * n as f64).ceil() as u64).clamp(1, n)
-            };
-            let mut cum = 0_u64;
-            for (k, b) in self.buckets.iter().enumerate() {
-                cum += b.load(Ordering::Relaxed);
-                if cum >= rank {
-                    return bucket_upper_edge(k).min(self.max());
-                }
-            }
-            self.max()
+        let n = self.count();
+        if n == 0 {
+            return 0;
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = q;
-            0
+        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+        let rank = if q.is_nan() {
+            n
+        } else {
+            ((q * n as f64).ceil() as u64).clamp(1, n)
+        };
+        let mut cum = 0_u64;
+        for (k, b) in self.buckets.iter().enumerate() {
+            cum += b.load(Ordering::Relaxed);
+            if cum >= rank {
+                return bucket_upper_edge(k).min(self.max());
+            }
         }
+        self.max()
     }
 
     /// Folds a per-worker [`crate::LocalHistogram`] into this global
     /// histogram bucket-wise — the publish half of the snapshot/merge
-    /// pattern (see [`crate::local`]). No-op in disabled builds.
+    /// pattern (see [`crate::local`]).
     pub fn merge_from(&self, local: &crate::LocalHistogram) {
-        #[cfg(feature = "enabled")]
-        {
-            for (k, &b) in local.buckets().iter().enumerate() {
-                if b > 0 {
-                    self.buckets[k].fetch_add(b, Ordering::Relaxed);
-                }
+        for (k, &b) in local.buckets().iter().enumerate() {
+            if b > 0 {
+                self.buckets[k].fetch_add(b, Ordering::Relaxed);
             }
-            self.count.fetch_add(local.count(), Ordering::Relaxed);
-            self.sum.fetch_add(local.sum(), Ordering::Relaxed);
-            self.max.fetch_max(local.max(), Ordering::Relaxed);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = local;
+        self.count.fetch_add(local.count(), Ordering::Relaxed);
+        self.sum.fetch_add(local.sum(), Ordering::Relaxed);
+        self.max.fetch_max(local.max(), Ordering::Relaxed);
     }
 
-    #[cfg(feature = "enabled")]
     fn reset(&self) {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
@@ -287,133 +209,61 @@ impl Histogram {
     }
 }
 
-#[cfg(feature = "enabled")]
 enum Metric {
     Counter(&'static Counter),
     Gauge(&'static Gauge),
     Histogram(&'static Histogram),
 }
 
-#[cfg(feature = "enabled")]
 static REGISTRY: Mutex<BTreeMap<&'static str, Metric>> = Mutex::new(BTreeMap::new());
 
-#[cfg(feature = "enabled")]
 fn registry() -> std::sync::MutexGuard<'static, BTreeMap<&'static str, Metric>> {
     REGISTRY
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+// A name already registered as another kind gets a detached handle:
+// writes to it land nowhere visible instead of panicking mid-session.
+static DETACHED_COUNTER: Counter = Counter::new();
+static DETACHED_GAUGE: Gauge = Gauge::new();
+static DETACHED_HISTOGRAM: Histogram = Histogram::new();
+
 /// Looks up (registering on first use) the counter named `name`.
 /// Prefer the caching [`crate::counter!`] macro at instrumentation
 /// sites.
 #[must_use]
 pub fn counter_handle(name: &'static str) -> &'static Counter {
-    #[cfg(feature = "enabled")]
+    match registry()
+        .entry(name)
+        .or_insert_with(|| Metric::Counter(Box::leak(Box::new(Counter::new()))))
     {
-        let mut reg = registry();
-        match reg
-            .entry(name)
-            .or_insert_with(|| Metric::Counter(Box::leak(Box::new(Counter::new()))))
-        {
-            Metric::Counter(c) => c,
-            _ => noop_counter(),
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        noop_counter()
+        Metric::Counter(c) => c,
+        _ => &DETACHED_COUNTER,
     }
 }
 
 /// Looks up (registering on first use) the gauge named `name`.
 #[must_use]
 pub fn gauge_handle(name: &'static str) -> &'static Gauge {
-    #[cfg(feature = "enabled")]
+    match registry()
+        .entry(name)
+        .or_insert_with(|| Metric::Gauge(Box::leak(Box::new(Gauge::new()))))
     {
-        let mut reg = registry();
-        match reg
-            .entry(name)
-            .or_insert_with(|| Metric::Gauge(Box::leak(Box::new(Gauge::new()))))
-        {
-            Metric::Gauge(g) => g,
-            _ => noop_gauge(),
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        noop_gauge()
+        Metric::Gauge(g) => g,
+        _ => &DETACHED_GAUGE,
     }
 }
 
 /// Looks up (registering on first use) the histogram named `name`.
 #[must_use]
 pub fn histogram_handle(name: &'static str) -> &'static Histogram {
-    #[cfg(feature = "enabled")]
+    match registry()
+        .entry(name)
+        .or_insert_with(|| Metric::Histogram(Box::leak(Box::new(Histogram::new()))))
     {
-        let mut reg = registry();
-        match reg
-            .entry(name)
-            .or_insert_with(|| Metric::Histogram(Box::leak(Box::new(Histogram::new()))))
-        {
-            Metric::Histogram(h) => h,
-            _ => noop_histogram(),
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        noop_histogram()
-    }
-}
-
-/// An unregistered counter that discards writes (the disabled-mode
-/// handle; also the collision fallback when a name is re-registered as
-/// a different metric kind).
-#[must_use]
-pub fn noop_counter() -> &'static Counter {
-    #[cfg(feature = "enabled")]
-    {
-        static NOOP: std::sync::OnceLock<Counter> = std::sync::OnceLock::new();
-        NOOP.get_or_init(Counter::new)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        static NOOP: Counter = Counter {};
-        &NOOP
-    }
-}
-
-/// An unregistered gauge that discards writes (see [`noop_counter`]).
-#[must_use]
-pub fn noop_gauge() -> &'static Gauge {
-    #[cfg(feature = "enabled")]
-    {
-        static NOOP: std::sync::OnceLock<Gauge> = std::sync::OnceLock::new();
-        NOOP.get_or_init(Gauge::new)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        static NOOP: Gauge = Gauge {};
-        &NOOP
-    }
-}
-
-/// An unregistered histogram that discards writes (see
-/// [`noop_counter`]).
-#[must_use]
-pub fn noop_histogram() -> &'static Histogram {
-    #[cfg(feature = "enabled")]
-    {
-        static NOOP: std::sync::OnceLock<Histogram> = std::sync::OnceLock::new();
-        NOOP.get_or_init(Histogram::new)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        static NOOP: Histogram = Histogram {};
-        &NOOP
+        Metric::Histogram(h) => h,
+        _ => &DETACHED_HISTOGRAM,
     }
 }
 
@@ -480,41 +330,32 @@ impl MetricsSnapshot {
     }
 }
 
-/// Snapshots every registered metric. Empty in disabled builds.
+/// Snapshots every registered metric.
 #[must_use]
 pub fn snapshot() -> MetricsSnapshot {
-    #[cfg(feature = "enabled")]
-    {
-        let reg = registry();
-        let mut snap = MetricsSnapshot::default();
-        for (&name, metric) in reg.iter() {
-            match metric {
-                Metric::Counter(c) => snap.counters.push((name, c.get())),
-                Metric::Gauge(g) => snap.gauges.push((name, g.get())),
-                Metric::Histogram(h) => snap.histograms.push((
-                    name,
-                    HistogramSnapshot {
-                        count: h.count(),
-                        sum: h.sum(),
-                        max: h.max(),
-                        p50: h.quantile(0.50),
-                        p95: h.quantile(0.95),
-                        p99: h.quantile(0.99),
-                    },
-                )),
-            }
+    let mut snap = MetricsSnapshot::default();
+    for (&name, metric) in registry().iter() {
+        match metric {
+            Metric::Counter(c) => snap.counters.push((name, c.get())),
+            Metric::Gauge(g) => snap.gauges.push((name, g.get())),
+            Metric::Histogram(h) => snap.histograms.push((
+                name,
+                HistogramSnapshot {
+                    count: h.count(),
+                    sum: h.sum(),
+                    max: h.max(),
+                    p50: h.quantile(0.50),
+                    p95: h.quantile(0.95),
+                    p99: h.quantile(0.99),
+                },
+            )),
         }
-        snap
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        MetricsSnapshot::default()
-    }
+    snap
 }
 
 /// Zeroes every registered metric without unregistering names.
 pub fn reset_values() {
-    #[cfg(feature = "enabled")]
     for metric in registry().values() {
         match metric {
             Metric::Counter(c) => c.reset(),
@@ -524,7 +365,7 @@ pub fn reset_values() {
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::tests::lock;
@@ -668,7 +509,7 @@ mod tests {
         assert_eq!((h.count, h.max), (1, 5));
         // Same handle comes back; values survive re-lookup.
         assert_eq!(counter_handle("obs.test.counter").get(), 7);
-        // Kind collision falls back to a noop handle instead of
+        // Kind collision falls back to a detached handle instead of
         // panicking.
         let c = counter_handle("obs.test.gauge");
         c.add(1);

@@ -45,10 +45,19 @@ pub const SHARD_VERSION: u32 = 1;
 /// Header length in bytes: magic + version + shard index + shard count.
 pub const HEADER_LEN: usize = 8 + 4 + 4 + 4;
 
-/// IEEE CRC-32 (the ubiquitous reflected 0xEDB88320 polynomial).
+/// IEEE CRC-32 (the ubiquitous reflected 0xEDB88320 polynomial),
+/// computed bitwise. The workspace's one CRC: P2SHARD records and the
+/// device link's frames and envelopes all use it.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFF_u32;
+    !crc32_update(0xFFFF_FFFF, bytes)
+}
+
+/// Feeds `bytes` into a running CRC-32 register, for a digest over a
+/// byte stream: start from `0xFFFF_FFFF` and invert the final register,
+/// so one update over all the bytes equals [`crc32`].
+#[must_use]
+pub fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         crc ^= u32::from(b);
         for _ in 0..8 {
@@ -56,7 +65,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
         }
     }
-    !crc
+    crc
 }
 
 /// `key → shard index`: the splitmix64 finalizer, reduced mod
@@ -606,6 +615,9 @@ mod tests {
         // The classic check value for IEEE CRC-32.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // A streamed digest equals the one-shot CRC.
+        let streamed = crc32_update(crc32_update(0xFFFF_FFFF, b"1234"), b"56789");
+        assert_eq!(!streamed, 0xCBF4_3926);
     }
 
     #[test]

@@ -6,11 +6,8 @@
 //! the whole stack (frames fed, NACKs, resyncs, degradation reasons,
 //! reject reasons) in arrival order.
 
-use std::fmt;
-
-#[cfg(feature = "enabled")]
 use std::collections::VecDeque;
-#[cfg(feature = "enabled")]
+use std::fmt;
 use std::sync::Mutex;
 
 /// Maximum number of retained events (oldest evicted first).
@@ -126,71 +123,47 @@ impl fmt::Display for Event {
     }
 }
 
-#[cfg(feature = "enabled")]
 static RING: Mutex<VecDeque<Event>> = Mutex::new(VecDeque::new());
 
-#[cfg(feature = "enabled")]
 fn ring() -> std::sync::MutexGuard<'static, VecDeque<Event>> {
     RING.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Appends one event, evicting the oldest past [`CAPACITY`]. Prefer
-/// [`crate::event!`], which also compiles out in disabled builds.
+/// [`crate::event!`], which skips building the fields while recording
+/// is paused.
 pub fn record(stage: &'static str, label: &'static str, fields: Vec<(&'static str, Value)>) {
-    #[cfg(feature = "enabled")]
-    {
-        if !crate::recording() {
-            return;
-        }
-        let ev = Event {
-            t_ns: crate::now_ns(),
-            stage,
-            label,
-            fields,
-        };
-        let mut ring = ring();
-        if ring.len() == CAPACITY {
-            ring.pop_front();
-        }
-        ring.push_back(ev);
+    if !crate::recording() {
+        return;
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (stage, label, fields);
+    let ev = Event {
+        t_ns: crate::now_ns(),
+        stage,
+        label,
+        fields,
+    };
+    let mut ring = ring();
+    if ring.len() == CAPACITY {
+        ring.pop_front();
     }
+    ring.push_back(ev);
 }
 
-/// Copies out the retained events, oldest first. Empty in disabled
-/// builds.
+/// Copies out the retained events, oldest first.
 #[must_use]
 pub fn snapshot() -> Vec<Event> {
-    #[cfg(feature = "enabled")]
-    {
-        ring().iter().cloned().collect()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        Vec::new()
-    }
+    ring().iter().cloned().collect()
 }
 
 /// Number of retained events.
 #[must_use]
 pub fn len() -> usize {
-    #[cfg(feature = "enabled")]
-    {
-        ring().len()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        0
-    }
+    ring().len()
 }
 
 /// Drops all retained events.
 pub fn clear() {
-    #[cfg(feature = "enabled")]
     ring().clear();
 }
 
@@ -209,7 +182,7 @@ pub fn render_dump(events: &[Event], last: usize) -> String {
     out
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::tests::lock;

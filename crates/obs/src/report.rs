@@ -18,6 +18,9 @@
 //! }
 //! ```
 //!
+//! `"enabled"` is always `true`; it stays in the schema so readers of
+//! older reports keep working.
+//!
 //! The golden-schema test in `tests/schema.rs` parses this with
 //! [`crate::json`] and pins the key set, so the format cannot drift
 //! silently.
@@ -35,8 +38,6 @@ pub const SCHEMA: &str = "p2auth.obs.v1";
 /// hold.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
-    /// Compile-time state of the `enabled` feature.
-    pub enabled: bool,
     /// Runtime recording switch at collection time.
     pub recording: bool,
     /// All registered metrics.
@@ -49,7 +50,6 @@ pub struct Report {
 #[must_use]
 pub fn collect() -> Report {
     Report {
-        enabled: crate::is_enabled(),
         recording: crate::recording(),
         metrics: metrics::snapshot(),
         events: recorder::snapshot(),
@@ -78,8 +78,8 @@ pub fn render_text(report: &Report) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "== p2auth-obs report (enabled={}, recording={}) ==",
-        report.enabled, report.recording
+        "== p2auth-obs report (recording={}) ==",
+        report.recording
     );
     if !report.metrics.counters.is_empty() {
         let _ = writeln!(out, "counters:");
@@ -171,8 +171,8 @@ pub fn render_json(report: &Report) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"schema\":\"{SCHEMA}\",\"enabled\":{},\"recording\":{},",
-        report.enabled, report.recording
+        "{{\"schema\":\"{SCHEMA}\",\"enabled\":true,\"recording\":{},",
+        report.recording
     );
     out.push_str("\"counters\":{");
     for (i, (name, v)) in report.metrics.counters.iter().enumerate() {
@@ -290,7 +290,7 @@ pub fn span_paths(records: &[SpanRecord]) -> Vec<String> {
     aggregate_paths(records).into_keys().collect()
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::tests::lock;

@@ -161,8 +161,7 @@ impl SloTracker {
     }
 
     /// Records one session outcome stamped with the current wall
-    /// clock. In disabled builds the clock reads 0, so everything
-    /// lands in second 0 — counts stay correct, windowing degrades.
+    /// clock.
     pub fn record(&self, latency_ns: u64, error: bool) {
         self.record_at(crate::now_ns() / 1_000_000_000, latency_ns, error);
     }
@@ -338,7 +337,6 @@ impl SloReport {
             },
         ));
         report::render_json(&Report {
-            enabled: crate::is_enabled(),
             recording: crate::recording(),
             metrics,
             events: Vec::new(),

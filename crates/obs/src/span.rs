@@ -10,16 +10,11 @@
 //! [`adopt`] guard, so spans opened on the worker are children of the
 //! caller's span even though they run on a different thread.
 
-#[cfg(feature = "enabled")]
 use std::cell::Cell;
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::{Mutex, OnceLock};
-#[cfg(feature = "enabled")]
 use std::time::Instant;
 
-#[cfg(feature = "enabled")]
 use crate::metrics::{self, Histogram};
 
 /// One closed span, as captured for span-tree rendering.
@@ -37,20 +32,15 @@ pub struct SpanRecord {
     pub dur_ns: u64,
 }
 
-#[cfg(feature = "enabled")]
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
-#[cfg(feature = "enabled")]
 thread_local! {
     static CURRENT: Cell<u64> = const { Cell::new(0) };
 }
 
-#[cfg(feature = "enabled")]
 static CAPTURE_ON: AtomicBool = AtomicBool::new(false);
-#[cfg(feature = "enabled")]
 static CAPTURED: Mutex<Vec<SpanRecord>> = Mutex::new(Vec::new());
 
-#[cfg(feature = "enabled")]
 fn captured() -> std::sync::MutexGuard<'static, Vec<SpanRecord>> {
     CAPTURED
         .lock()
@@ -59,54 +49,33 @@ fn captured() -> std::sync::MutexGuard<'static, Vec<SpanRecord>> {
 
 /// Starts capturing closed spans (clearing any previous capture).
 pub fn enable_capture() {
-    #[cfg(feature = "enabled")]
-    {
-        captured().clear();
-        CAPTURE_ON.store(true, Ordering::Relaxed);
-    }
+    captured().clear();
+    CAPTURE_ON.store(true, Ordering::Relaxed);
 }
 
-/// Stops capturing and returns everything captured so far. Always
-/// empty in disabled builds.
+/// Stops capturing and returns everything captured so far.
 #[must_use]
 pub fn take_capture() -> Vec<SpanRecord> {
-    #[cfg(feature = "enabled")]
-    {
-        CAPTURE_ON.store(false, Ordering::Relaxed);
-        std::mem::take(&mut *captured())
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        Vec::new()
-    }
+    CAPTURE_ON.store(false, Ordering::Relaxed);
+    std::mem::take(&mut *captured())
 }
 
 /// Stops and clears capture (part of [`crate::reset`]).
 pub fn reset_capture() {
-    #[cfg(feature = "enabled")]
-    {
-        CAPTURE_ON.store(false, Ordering::Relaxed);
-        captured().clear();
-    }
+    CAPTURE_ON.store(false, Ordering::Relaxed);
+    captured().clear();
 }
 
 /// A copyable handle to "the span that is current right now", for
 /// carrying parentage into `p2auth-par` worker closures.
 #[derive(Debug, Clone, Copy)]
-pub struct SpanCtx(#[cfg(feature = "enabled")] u64);
+pub struct SpanCtx(u64);
 
 /// Snapshots the calling thread's current span as a [`SpanCtx`].
 #[inline]
 #[must_use]
 pub fn current_ctx() -> SpanCtx {
-    #[cfg(feature = "enabled")]
-    {
-        SpanCtx(CURRENT.with(Cell::get))
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        SpanCtx()
-    }
+    SpanCtx(CURRENT.with(Cell::get))
 }
 
 /// Forcibly clears the calling thread's span context, returning whether
@@ -122,21 +91,13 @@ pub fn current_ctx() -> SpanCtx {
 /// trees; the `bool` lets it count leaks it papered over.
 #[inline]
 pub fn reset_ctx() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        CURRENT.with(|c| c.replace(0)) != 0
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        false
-    }
+    CURRENT.with(|c| c.replace(0)) != 0
 }
 
 /// Guard that makes an adopted [`SpanCtx`] the current span of this
 /// thread until dropped (restoring whatever was current before).
 #[derive(Debug)]
 pub struct AdoptGuard {
-    #[cfg(feature = "enabled")]
     prev: u64,
 }
 
@@ -145,23 +106,10 @@ pub struct AdoptGuard {
 #[inline]
 #[must_use]
 pub fn adopt(ctx: SpanCtx) -> AdoptGuard {
-    #[cfg(feature = "enabled")]
-    {
-        let prev = CURRENT.with(|c| {
-            let p = c.get();
-            c.set(ctx.0);
-            p
-        });
-        AdoptGuard { prev }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = ctx;
-        AdoptGuard {}
-    }
+    let prev = CURRENT.with(|c| c.replace(ctx.0));
+    AdoptGuard { prev }
 }
 
-#[cfg(feature = "enabled")]
 impl Drop for AdoptGuard {
     fn drop(&mut self) {
         CURRENT.with(|c| c.set(self.prev));
@@ -172,9 +120,7 @@ impl Drop for AdoptGuard {
 /// cached histogram handle.
 #[derive(Debug)]
 pub struct SpanSite {
-    #[cfg(feature = "enabled")]
     name: &'static str,
-    #[cfg(feature = "enabled")]
     hist: OnceLock<&'static Histogram>,
 }
 
@@ -182,57 +128,37 @@ impl SpanSite {
     /// Const constructor, usable in a `static`.
     #[must_use]
     pub const fn new(name: &'static str) -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            Self {
-                name,
-                hist: OnceLock::new(),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = name;
-            Self {}
+        Self {
+            name,
+            hist: OnceLock::new(),
         }
     }
 
     /// Opens a span at this site. Inert (no timing, no registry
-    /// access) when recording is paused or the crate is disabled.
+    /// access) when recording is paused. The returned [`Span`] is
+    /// itself `#[must_use]`.
     #[inline]
-    #[must_use]
     pub fn enter(&'static self) -> Span {
-        #[cfg(feature = "enabled")]
-        {
-            if !crate::recording() {
-                return Span(None);
-            }
-            let hist = *self
-                .hist
-                .get_or_init(|| metrics::histogram_handle(self.name));
-            let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-            let prev = CURRENT.with(|c| {
-                let p = c.get();
-                c.set(id);
-                p
-            });
-            let start_ns = crate::now_ns();
-            Span(Some(ActiveSpan {
-                id,
-                prev,
-                name: self.name,
-                hist,
-                start: Instant::now(),
-                start_ns,
-            }))
+        if !crate::recording() {
+            return Span(None);
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            Span()
-        }
+        let hist = *self
+            .hist
+            .get_or_init(|| metrics::histogram_handle(self.name));
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+        let prev = CURRENT.with(|c| c.replace(id));
+        let start_ns = crate::now_ns();
+        Span(Some(ActiveSpan {
+            id,
+            prev,
+            name: self.name,
+            hist,
+            start: Instant::now(),
+            start_ns,
+        }))
     }
 }
 
-#[cfg(feature = "enabled")]
 #[derive(Debug)]
 struct ActiveSpan {
     id: u64,
@@ -244,12 +170,11 @@ struct ActiveSpan {
 }
 
 /// An open span; closes (records duration, restores the parent) when
-/// dropped. Zero-sized in disabled builds.
+/// dropped. Holds nothing while recording is paused.
 #[must_use = "a span records its duration when the guard drops"]
 #[derive(Debug)]
-pub struct Span(#[cfg(feature = "enabled")] Option<ActiveSpan>);
+pub struct Span(Option<ActiveSpan>);
 
-#[cfg(feature = "enabled")]
 impl Drop for Span {
     fn drop(&mut self) {
         let Some(a) = self.0.take() else { return };
@@ -268,7 +193,7 @@ impl Drop for Span {
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::tests::lock;

@@ -2,8 +2,6 @@
 //! a caller snapshots its context, workers adopt it, and every span a
 //! worker opens is attributed to the caller's span.
 
-#![cfg(feature = "enabled")]
-
 use p2auth_obs::{adopt, current_ctx, span};
 use p2auth_par::par_map;
 use std::sync::Mutex;

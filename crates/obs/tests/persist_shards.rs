@@ -5,7 +5,7 @@
 //! story: one rotten shard never poisons its neighbours.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use p2auth_obs::persist::{self, shard_of, PersistError, ShardedEventStore, HEADER_LEN};
 
@@ -24,7 +24,7 @@ fn payload(k: u64) -> Vec<u8> {
     format!("record-{k}:{}", "x".repeat(40 + (k as usize % 13))).into_bytes()
 }
 
-fn write_store(dir: &PathBuf, shards: usize, keys: &[u64]) {
+fn write_store(dir: &Path, shards: usize, keys: &[u64]) {
     let store = ShardedEventStore::create(dir, shards, 4).expect("create store");
     for &k in keys {
         store.append(k, &payload(k)).expect("append");
@@ -33,7 +33,7 @@ fn write_store(dir: &PathBuf, shards: usize, keys: &[u64]) {
 }
 
 /// Read every record back, grouped by shard index.
-fn read_all(dir: &PathBuf) -> Vec<(PathBuf, Result<persist::ShardRead, PersistError>)> {
+fn read_all(dir: &Path) -> Vec<(PathBuf, Result<persist::ShardRead, PersistError>)> {
     persist::read_store_dir(dir).expect("list store dir")
 }
 

@@ -2,8 +2,6 @@
 //! crate's own dependency-free parser and its key set pinned, so the
 //! documented `p2auth.obs.v1` format cannot drift silently.
 
-#![cfg(feature = "enabled")]
-
 use p2auth_obs::json::{parse, JsonValue};
 use p2auth_obs::report;
 
@@ -134,7 +132,6 @@ fn hostile_metric_and_span_names_round_trip_through_json() {
         },
     ));
     let report = report::Report {
-        enabled: true,
         recording: true,
         metrics,
         events: vec![p2auth_obs::recorder::Event {

@@ -13,11 +13,11 @@
 //!   offline environments, so no rayon; scoped threads with static
 //!   chunking cover the pipeline's uniform workloads just as well.
 //! * **Determinism.** Results are returned in input order and every
-//!   helper produces bit-identical output with the `parallel` feature on
-//!   or off (workers only partition the input; they never reorder or
+//!   helper produces bit-identical output at any worker count, one
+//!   included (workers only partition the input; they never reorder or
 //!   re-associate floating-point reductions).
-//! * **Opt-out.** Disabling the default `parallel` feature turns every
-//!   helper into a plain serial loop for single-core / embedded targets.
+//! * **Serial fallback.** On a one-core machine, or for an input of
+//!   fewer than two items, every helper is a plain serial loop.
 //!
 //! The crate also hosts [`FeatureMatrix`], the contiguous row-major
 //! matrix handed from the rocket feature extractor to the ml classifier

@@ -3,28 +3,23 @@
 //! Work is partitioned into one contiguous chunk per worker, so each
 //! output element is computed by exactly the same code as in a serial
 //! loop and results are concatenated back in input order: output is
-//! bit-identical with and without the `parallel` feature.
+//! bit-identical at every worker count.
 
 use std::num::NonZeroUsize;
 use std::thread;
 
 /// Number of workers a `par_*` call will use: the machine's available
-/// parallelism with the `parallel` feature enabled, `1` otherwise.
+/// parallelism, `1` when it cannot be read.
 pub fn num_threads() -> usize {
-    if cfg!(feature = "parallel") {
-        thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        1
-    }
+    thread::available_parallelism()
+        .map(NonZeroUsize::get)
+        .unwrap_or(1)
 }
 
 /// Maps `f` over `items` in parallel, returning results in input order.
 ///
-/// Falls back to a serial loop when the `parallel` feature is disabled,
-/// the machine has a single core, or the input has fewer than two
-/// elements.
+/// Falls back to a serial loop when the machine has a single core or
+/// the input has fewer than two elements.
 ///
 /// # Panics
 ///

@@ -18,11 +18,6 @@
 //! `p2auth_core`'s profile arena holds once per enrolled model and
 //! shares across sessions. [`FusedScorer::arena_bytes`] reports its
 //! resident size for capacity planning.
-//!
-//! The opt-in `f32-lane` feature adds [`FusedScorerF32`], a
-//! single-precision lane for throughput-bound fleets; it is *not*
-//! bit-compatible with the f64 path and is differentially pinned
-//! against the f64 oracle by `p2auth-verify`'s `f32_suite`.
 
 use crate::kernels::NUM_KERNELS;
 use crate::series::MultiSeries;
@@ -167,229 +162,6 @@ impl FusedScorer {
     }
 }
 
-/// Single-precision fused scoring lane (opt-in `f32-lane` feature).
-///
-/// The bandwidth-bound work — shifted taps, 9-tap sums, convolution
-/// and PPV comparison — runs in `f32`, halving the hot working set.
-/// The final weighted accumulation (840 scalar adds, a rounding error
-/// off the hot loop) runs in `f64`: a single-precision accumulator
-/// loses up to ~1e-3 of the score to cancellation when the positive
-/// and negative weighted terms nearly balance, which is the common
-/// case near the decision threshold. The result is *not*
-/// bit-compatible with [`FusedScorer::score`]; `p2auth-verify`'s
-/// differential suite pins it within `1e-4` relative of the f64
-/// oracle. One caveat: when a convolution value ties a bias *exactly*
-/// (which happens when scoring the training series themselves — biases
-/// are training-conv quantiles), f32 rounding can flip the PPV
-/// comparison and move the score by `|w|/out_len`; unseen inputs never
-/// produce exact ties, so the auth path stays inside the contract.
-#[cfg(feature = "f32-lane")]
-pub mod f32_lane {
-    use super::FusedScorer;
-    use crate::kernels::{KERNEL_LENGTH, NUM_KERNELS};
-    use crate::series::MultiSeries;
-
-    /// `f32` twin of [`crate::ConvScratch`]: flat `[channel][tap][i]`
-    /// shifted signals, per-channel 9-tap sums and a conv output
-    /// buffer, all single-precision.
-    #[derive(Debug)]
-    pub struct ConvScratchF32 {
-        len: usize,
-        channels: usize,
-        shifted: Vec<f32>,
-        s9: Vec<f32>,
-        out: Vec<f32>,
-        prepared_dilation: Option<usize>,
-    }
-
-    impl ConvScratchF32 {
-        /// Creates scratch pre-sized for series of length `len` (a
-        /// hint — the scratch resizes itself like its f64 twin).
-        #[must_use]
-        pub fn new(len: usize) -> Self {
-            Self {
-                len,
-                channels: 0,
-                shifted: Vec::new(),
-                s9: Vec::new(),
-                out: vec![0.0; len],
-                prepared_dilation: None,
-            }
-        }
-
-        fn prepare_dilation(&mut self, series: &MultiSeries, dilation: usize) {
-            let half = KERNEL_LENGTH / 2;
-            let n = series.len();
-            let nch = series.num_channels();
-            if n != self.len || nch != self.channels {
-                self.len = n;
-                self.channels = nch;
-                self.shifted.clear();
-                self.shifted.resize(nch * KERNEL_LENGTH * n, 0.0);
-                self.s9.clear();
-                self.s9.resize(nch * n, 0.0);
-                self.out.clear();
-                self.out.resize(n, 0.0);
-            }
-            for ch in 0..nch {
-                let x = series.channel(ch);
-                let ch_base = ch * KERNEL_LENGTH * n;
-                for j in 0..KERNEL_LENGTH {
-                    let tap = &mut self.shifted[ch_base + j * n..ch_base + (j + 1) * n];
-                    if j >= half {
-                        let off = (j - half) * dilation;
-                        if off >= n {
-                            tap.fill(0.0);
-                        } else {
-                            for (t, &v) in tap[..n - off].iter_mut().zip(&x[off..]) {
-                                *t = v as f32;
-                            }
-                            tap[n - off..].fill(0.0);
-                        }
-                    } else {
-                        let off = (half - j) * dilation;
-                        if off >= n {
-                            tap.fill(0.0);
-                        } else {
-                            for (t, &v) in tap[off..].iter_mut().zip(&x[..n - off]) {
-                                *t = v as f32;
-                            }
-                            tap[..off].fill(0.0);
-                        }
-                    }
-                }
-                let s9 = &mut self.s9[ch * n..(ch + 1) * n];
-                s9.fill(0.0);
-                for j in 0..KERNEL_LENGTH {
-                    let tap = &self.shifted[ch_base + j * n..ch_base + (j + 1) * n];
-                    for (a, &b) in s9.iter_mut().zip(tap) {
-                        *a += b;
-                    }
-                }
-            }
-            self.prepared_dilation = Some(dilation);
-        }
-
-        fn convolve_prepared(
-            &mut self,
-            subset: &[usize],
-            kernel: [usize; 3],
-            padding: bool,
-        ) -> &[f32] {
-            let dilation = self.prepared_dilation.expect("prepare_dilation not called");
-            let n = self.len;
-            self.out.fill(0.0);
-            let out = &mut self.out;
-            for &ch in subset {
-                let ch_base = ch * KERNEL_LENGTH * n;
-                let t0 = &self.shifted[ch_base + kernel[0] * n..ch_base + kernel[0] * n + n];
-                let t1 = &self.shifted[ch_base + kernel[1] * n..ch_base + kernel[1] * n + n];
-                let t2 = &self.shifted[ch_base + kernel[2] * n..ch_base + kernel[2] * n + n];
-                let s9 = &self.s9[ch * n..ch * n + n];
-                for ((o, ((&a, &b), &c)), &s) in
-                    out.iter_mut().zip(t0.iter().zip(t1).zip(t2)).zip(s9)
-                {
-                    *o += 3.0 * (a + b + c) - s;
-                }
-            }
-            if padding {
-                &self.out
-            } else {
-                let margin = (KERNEL_LENGTH / 2) * dilation;
-                let end = n.saturating_sub(margin);
-                if margin >= end {
-                    // Degenerate valid padding falls back to the full
-                    // padded output, mirroring the f64 scratch.
-                    &self.out
-                } else {
-                    &self.out[margin..end]
-                }
-            }
-        }
-    }
-
-    fn ppv_f32(conv: &[f32], bias: f32) -> f32 {
-        if conv.is_empty() {
-            return 0.0;
-        }
-        let count: usize = conv.iter().map(|&v| usize::from(v > bias)).sum();
-        count as f32 / conv.len() as f32
-    }
-
-    /// `f32` twin of [`FusedScorer`], built from one by casting its
-    /// tables down. Roughly halves the arena footprint per model.
-    #[derive(Debug, Clone)]
-    pub struct FusedScorerF32 {
-        input_length: usize,
-        num_channels: usize,
-        dilations: Vec<usize>,
-        features_per_combo: usize,
-        kernels: Vec<[usize; 3]>,
-        paddings: Vec<bool>,
-        subset_bounds: Vec<u32>,
-        subset_data: Vec<usize>,
-        bias_weight: Vec<(f32, f32)>,
-        intercept: f32,
-    }
-
-    impl FusedScorerF32 {
-        /// Casts an f64 scorer's tables to single precision.
-        #[must_use]
-        pub fn from_f64(scorer: &FusedScorer) -> Self {
-            Self {
-                input_length: scorer.input_length,
-                num_channels: scorer.num_channels,
-                dilations: scorer.dilations.clone(),
-                features_per_combo: scorer.features_per_combo,
-                kernels: scorer.kernels.clone(),
-                paddings: scorer.paddings.clone(),
-                subset_bounds: scorer.subset_bounds.clone(),
-                subset_data: scorer.subset_data.clone(),
-                bias_weight: scorer
-                    .bias_weight
-                    .iter()
-                    .map(|&(b, w)| (b as f32, w as f32))
-                    .collect(),
-                intercept: scorer.intercept as f32,
-            }
-        }
-
-        /// Single-precision fused score. See the module docs for the
-        /// accuracy contract.
-        ///
-        /// # Panics
-        ///
-        /// Panics if the series shape differs from the training data.
-        #[must_use]
-        pub fn score(&self, series: &MultiSeries, scratch: &mut ConvScratchF32) -> f32 {
-            assert_eq!(series.len(), self.input_length, "series length mismatch");
-            assert_eq!(
-                series.num_channels(),
-                self.num_channels,
-                "channel count mismatch"
-            );
-            // f64 accumulator: see the module docs — f32 accumulation
-            // cancels catastrophically near the decision threshold.
-            let mut acc = 0.0_f64;
-            let mut feat = 0;
-            for (d_idx, &dilation) in self.dilations.iter().enumerate() {
-                scratch.prepare_dilation(series, dilation);
-                for (k_idx, kernel) in self.kernels.iter().enumerate() {
-                    let combo = d_idx * NUM_KERNELS + k_idx;
-                    let subset = &self.subset_data[self.subset_bounds[combo] as usize
-                        ..self.subset_bounds[combo + 1] as usize];
-                    let conv = scratch.convolve_prepared(subset, *kernel, self.paddings[combo]);
-                    for &(bias, w) in &self.bias_weight[feat..feat + self.features_per_combo] {
-                        acc += f64::from(w) * f64::from(ppv_f32(conv, bias));
-                    }
-                    feat += self.features_per_combo;
-                }
-            }
-            (acc + f64::from(self.intercept)) as f32
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,49 +258,5 @@ mod tests {
         let train = vec![sine_series(64, 0.3, 1)];
         let rocket = MiniRocket::fit(&MiniRocketConfig::default(), &train).unwrap();
         let _ = FusedScorer::new(&rocket, &[1.0, 2.0], 0.0);
-    }
-
-    #[cfg(feature = "f32-lane")]
-    #[test]
-    fn f32_lane_tracks_f64_oracle() {
-        use super::f32_lane::{ConvScratchF32, FusedScorerF32};
-        let train: Vec<MultiSeries> = (0..4)
-            .map(|i| sine_series(90, 0.2 + 0.17 * i as f64, 2))
-            .collect();
-        let rocket = MiniRocket::fit(&MiniRocketConfig::default(), &train).unwrap();
-        let weights = pseudo_weights(rocket.num_output_features(), 11);
-        let scorer = FusedScorer::new(&rocket, &weights, 0.4);
-        let scorer32 = FusedScorerF32::from_f64(&scorer);
-        let mut scratch = ConvScratch::new(90);
-        let mut scratch32 = ConvScratchF32::new(90);
-
-        // Fresh probes: no conv value ties a bias exactly, so the only
-        // error source is f32 rounding of the convolution — well
-        // inside the 1e-4 contract.
-        for i in 0..4 {
-            let probe = sine_series(90, 0.11 + 0.23 * i as f64, 2);
-            let f64_score = scorer.score(&probe, &mut scratch);
-            let f32_score = f64::from(scorer32.score(&probe, &mut scratch32));
-            let rel = (f32_score - f64_score).abs() / f64_score.abs().max(1.0);
-            assert!(
-                rel <= 1e-4,
-                "f32 lane diverged on fresh probe: {f32_score} vs {f64_score} (rel {rel})"
-            );
-        }
-
-        // Training probes are the adversarial case: biases are
-        // quantiles of the training convolutions, so `conv == bias`
-        // ties are exact in f64 and f32 rounding can flip the PPV
-        // comparison. Each flip moves the score by |w|/out_len, so the
-        // bound here is the count-flip granularity, not rounding.
-        for probe in &train {
-            let f64_score = scorer.score(probe, &mut scratch);
-            let f32_score = f64::from(scorer32.score(probe, &mut scratch32));
-            let rel = (f32_score - f64_score).abs() / f64_score.abs().max(1.0);
-            assert!(
-                rel <= 1e-2,
-                "f32 lane diverged on training probe: {f32_score} vs {f64_score} (rel {rel})"
-            );
-        }
     }
 }

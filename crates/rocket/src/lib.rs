@@ -17,10 +17,9 @@
 //!
 //! The convolution engine runs on flat, reusable scratch buffers (see
 //! [`ConvScratch`]) and the batch paths ([`MiniRocket::transform`],
-//! bias sampling inside [`MiniRocket::fit`]) fan out across threads
-//! under the default `parallel` feature; disable it
-//! (`default-features = false`) for single-core or embedded targets.
-//! Feature values are bit-identical either way.
+//! bias sampling inside [`MiniRocket::fit`]) fan out across
+//! `p2auth-par`'s scoped threads, which run serially on a one-core
+//! machine. Feature values are bit-identical either way.
 //!
 //! # Example
 //!
@@ -46,8 +45,6 @@ mod kernels;
 mod series;
 mod transform;
 
-#[cfg(feature = "f32-lane")]
-pub use fused::f32_lane::{ConvScratchF32, FusedScorerF32};
 pub use fused::FusedScorer;
 pub use kernels::{
     kernel_indices, kernel_weights, KERNEL_LENGTH, NUM_KERNELS, WEIGHT_HIGH, WEIGHT_LOW,

@@ -20,10 +20,9 @@
 //!   numbers in exactly the original order so fitted transforms stay
 //!   bit-identical.
 //!
-//! Batch entry points fan out across threads via `p2auth-par` when the
-//! default `parallel` feature is enabled; outputs are bit-identical to
-//! the serial path because each series is processed independently by
-//! the same code.
+//! Batch entry points fan out across threads via `p2auth-par`; outputs
+//! are bit-identical to the serial path because each series is
+//! processed independently by the same code.
 
 use crate::kernels::{kernel_indices, KERNEL_LENGTH, NUM_KERNELS};
 use crate::series::MultiSeries;
@@ -375,9 +374,9 @@ impl MiniRocket {
     /// Transforms a batch of series into a contiguous row-major
     /// [`FeatureMatrix`], one feature row per input.
     ///
-    /// With the default `parallel` feature the batch fans out across
-    /// threads, each worker reusing one [`ConvScratch`] and writing a
-    /// contiguous run of rows; rows are bit-identical to calling
+    /// The batch fans out across `p2auth-par` threads, each worker
+    /// reusing one [`ConvScratch`] and writing a contiguous run of
+    /// rows; rows are bit-identical to calling
     /// [`MiniRocket::transform_one`] per series, in order.
     ///
     /// # Panics

@@ -171,7 +171,7 @@ impl BrownoutLadder {
     pub fn on_session(&self, slo: &p2auth_obs::SloTracker) -> BrownoutLevel {
         let n = self.sessions.fetch_add(1, Ordering::Relaxed) + 1;
         let every = self.cfg.eval_every.max(1);
-        if n % every == 0 {
+        if n.is_multiple_of(every) {
             self.evaluate(&slo.report());
         }
         self.level()

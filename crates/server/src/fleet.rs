@@ -195,7 +195,7 @@ pub fn build_fleet(config: &FleetConfig) -> FleetScenario {
     let requests = p2auth_par::par_map(&specs, |&(d, k)| {
         let global = d * spd + k;
         let user = (d as usize) % enrolled;
-        let attempts = if hang_every != 0 && (global + 1) % hang_every as u64 == 0 {
+        let attempts = if hang_every != 0 && (global + 1).is_multiple_of(hang_every as u64) {
             // A device that never completes collection: the watchdog
             // must end this session, not a worker hang.
             vec![None]

@@ -403,7 +403,7 @@ fn worker_loop(
         log.meta_push("worker", worker_idx.to_string());
         session_idx += 1;
         if let Some(skew) = ctx.obs.chaos.and_then(ChaosPlan::skew) {
-            if skew.every > 0 && session_idx % skew.every == 0 {
+            if skew.every > 0 && session_idx.is_multiple_of(skew.every) {
                 clock_s = (clock_s - skew.backwards_s).max(0.0);
                 local.incr("server.chaos.clock_skews");
                 log.push(SessionEvent::Fault {

@@ -143,7 +143,7 @@ mod tests {
     #[test]
     fn adjacent_ids_spread_across_shards() {
         let store = ShardedProfileStore::new(16);
-        let mut hit = vec![false; 16];
+        let mut hit = [false; 16];
         for id in 0..64_u64 {
             hit[store.shard_of(id)] = true;
         }

@@ -55,19 +55,20 @@ pub fn median_filter_ref(x: &[f64], window: usize) -> Vec<f64> {
 fn poly_fit_at_zero(t: &[f64], b: &[f64], degree: usize) -> f64 {
     let cols = degree + 1;
     let mut q: Vec<Vec<f64>> = Vec::with_capacity(cols);
-    let mut r = vec![vec![0.0_f64; cols]; cols];
-    for j in 0..cols {
+    // R stored by columns: `r_cols[j][k]` is `R[k][j]`.
+    let mut r_cols = vec![vec![0.0_f64; cols]; cols];
+    for (j, r_col) in r_cols.iter_mut().enumerate() {
         // Column j of the design matrix: t^j.
         let mut v: Vec<f64> = t.iter().map(|&ti| ti.powi(j as i32)).collect();
-        for (k, qk) in q.iter().enumerate() {
+        for (qk, rkj) in q.iter().zip(r_col.iter_mut()) {
             let proj: f64 = qk.iter().zip(&v).map(|(p, w)| p * w).sum();
-            r[k][j] = proj;
+            *rkj = proj;
             for (vi, qi) in v.iter_mut().zip(qk) {
                 *vi -= proj * qi;
             }
         }
         let norm: f64 = v.iter().map(|w| w * w).sum::<f64>().sqrt();
-        r[j][j] = norm;
+        r_col[j] = norm;
         for vi in v.iter_mut() {
             *vi /= norm;
         }
@@ -82,9 +83,9 @@ fn poly_fit_at_zero(t: &[f64], b: &[f64], degree: usize) -> f64 {
     for j in (0..cols).rev() {
         let mut acc = qtb[j];
         for k in j + 1..cols {
-            acc -= r[j][k] * c[k];
+            acc -= r_cols[k][j] * c[k];
         }
-        c[j] = acc / r[j][j];
+        c[j] = acc / r_cols[j][j];
     }
     c[0]
 }
@@ -162,7 +163,7 @@ pub fn trend_ref(y: &[f64], lambda: f64) -> Vec<f64> {
         return y.to_vec();
     }
     let l2 = lambda * lambda;
-    if !(l2 < 1e13) {
+    if l2.partial_cmp(&1e13) != Some(std::cmp::Ordering::Less) {
         return linear_fit_ref(y);
     }
     let mut a = vec![vec![0.0_f64; n]; n];
@@ -192,10 +193,11 @@ pub fn trend_ref(y: &[f64], lambda: f64) -> Vec<f64> {
         a.swap(col, piv);
         b.swap(col, piv);
         let d = a[col][col];
-        for j in col..n {
-            a[col][j] /= d;
+        for v in &mut a[col][col..] {
+            *v /= d;
         }
         b[col] /= d;
+        let pivot_row = a[col].clone();
         for r in 0..n {
             if r == col {
                 continue;
@@ -204,8 +206,8 @@ pub fn trend_ref(y: &[f64], lambda: f64) -> Vec<f64> {
             if f == 0.0 {
                 continue;
             }
-            for j in col..n {
-                a[r][j] -= f * a[col][j];
+            for (v, p) in a[r][col..].iter_mut().zip(&pivot_row[col..]) {
+                *v -= f * p;
             }
             b[r] -= f * b[col];
         }
@@ -224,10 +226,7 @@ pub fn short_time_energy_ref(x: &[f64], window: usize, hop: usize) -> Vec<f64> {
     assert!(window > 0 && hop > 0, "window and hop must be positive");
     let mut out = Vec::new();
     let mut start = 0_usize;
-    loop {
-        let Some(end) = start.checked_add(window) else {
-            break;
-        };
+    while let Some(end) = start.checked_add(window) {
         if end > x.len() {
             break;
         }
